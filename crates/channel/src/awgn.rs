@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use cbma_types::units::{Db, Dbm, Hertz};
 use cbma_types::Iq;
 
-use crate::shadowing::gaussian;
+use crate::ziggurat::Ziggurat;
 
 /// Thermal noise density at 290 K in dBm/Hz.
 pub const THERMAL_NOISE_DBM_PER_HZ: f64 = -174.0;
@@ -66,12 +66,14 @@ impl NoiseModel {
 
     /// Generates `n` complex AWGN samples with total power matching
     /// [`noise_power`](NoiseModel::noise_power) over `bandwidth`.
-    /// Amplitudes are in √W, matching the mixer's signal scale.
+    /// Amplitudes are in √W, matching the mixer's signal scale. The
+    /// quadratures are i.i.d. normals from the ziggurat sampler.
     pub fn samples<R: Rng + ?Sized>(&self, rng: &mut R, n: usize, bandwidth: Hertz) -> Vec<Iq> {
         let power_w = self.noise_power(bandwidth).to_watts().get();
         let sigma = (power_w / 2.0).sqrt(); // per quadrature component
+        let zig = Ziggurat::get();
         (0..n)
-            .map(|_| Iq::new(gaussian(rng, sigma), gaussian(rng, sigma)))
+            .map(|_| Iq::new(zig.sample(rng), zig.sample(rng)).scale(sigma))
             .collect()
     }
 }

@@ -13,7 +13,8 @@
 //!   (`overlap_probability`).
 //!
 //! During an active interval the interferer contributes noise-like complex
-//! samples at the configured received power.
+//! samples at the configured received power, drawn like the receiver noise
+//! with the ziggurat normal sampler.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -21,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use cbma_types::units::Dbm;
 use cbma_types::Iq;
 
-use crate::shadowing::gaussian;
+use crate::ziggurat::Ziggurat;
 
 /// The interference source present in the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -101,6 +102,9 @@ impl InterferenceModel {
 
     /// Generates `n` samples of interference (zeros while inactive).
     pub fn waveform<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<Iq> {
+        let sigma = (self.active_power.to_watts().get() / 2.0).sqrt();
+        let zig = Ziggurat::get();
+        let active = |rng: &mut R| Iq::new(zig.sample(rng), zig.sample(rng)).scale(sigma);
         match self.kind {
             InterferenceKind::None => vec![Iq::ZERO; n],
             InterferenceKind::Wifi {
@@ -112,10 +116,7 @@ impl InterferenceModel {
                     return vec![Iq::ZERO; n];
                 }
                 if load >= 1.0 {
-                    let sigma = (self.active_power.to_watts().get() / 2.0).sqrt();
-                    return (0..n)
-                        .map(|_| Iq::new(gaussian(rng, sigma), gaussian(rng, sigma)))
-                        .collect();
+                    return (0..n).map(|_| active(rng)).collect();
                 }
                 let mut out = Vec::with_capacity(n);
                 let mean_on = mean_burst_samples.max(1) as f64;
@@ -124,18 +125,13 @@ impl InterferenceModel {
                 } else {
                     mean_on * (1.0 - load) / load
                 };
-                let sigma = (self.active_power.to_watts().get() / 2.0).sqrt();
                 let mut on = rng.gen_bool(load);
                 while out.len() < n {
                     let mean = if on { mean_on } else { mean_off.max(1.0) };
                     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
                     let len = ((-mean * u.ln()).ceil().max(1.0) as usize).min(n - out.len());
                     for _ in 0..len {
-                        out.push(if on {
-                            Iq::new(gaussian(rng, sigma), gaussian(rng, sigma))
-                        } else {
-                            Iq::ZERO
-                        });
+                        out.push(if on { active(rng) } else { Iq::ZERO });
                     }
                     on = !on;
                 }
@@ -147,17 +143,12 @@ impl InterferenceModel {
             } => {
                 let p = overlap_probability.clamp(0.0, 1.0);
                 let slot = slot_samples.max(1);
-                let sigma = (self.active_power.to_watts().get() / 2.0).sqrt();
                 let mut out = Vec::with_capacity(n);
                 while out.len() < n {
                     let in_band = rng.gen_bool(p);
                     let len = slot.min(n - out.len());
                     for _ in 0..len {
-                        out.push(if in_band {
-                            Iq::new(gaussian(rng, sigma), gaussian(rng, sigma))
-                        } else {
-                            Iq::ZERO
-                        });
+                        out.push(if in_band { active(rng) } else { Iq::ZERO });
                     }
                 }
                 out

@@ -10,7 +10,9 @@
 //! * [`shadowing`] — log-distance path loss with log-normal shadowing for
 //!   the "challenging indoor scenarios" variability,
 //! * [`multipath`] — Rician tap-delay-line small-scale fading,
-//! * [`awgn`] — thermal-plus-leakage noise floor,
+//! * [`awgn`] — thermal-plus-leakage noise floor, drawn with a ziggurat
+//!   normal sampler (per-deployment and per-frame draws keep Box–Muller;
+//!   see DESIGN.md),
 //! * [`clock`] — per-tag timing offsets and drift, the asynchrony of
 //!   Fig. 11,
 //! * [`excitation`] — continuous-tone vs intermittent-OFDM excitation
@@ -44,6 +46,7 @@ pub mod interference;
 pub mod mixer;
 pub mod multipath;
 pub mod shadowing;
+mod ziggurat;
 
 pub use awgn::NoiseModel;
 pub use clock::ClockModel;

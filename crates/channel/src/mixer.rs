@@ -106,13 +106,8 @@ impl Mixer {
 
         let mut buf = self.noise.samples(rng, total, self.bandwidth);
 
-        for (i, x) in self
-            .interference
-            .waveform(rng, total)
-            .into_iter()
-            .enumerate()
-        {
-            buf[i] += x;
+        for (b, x) in buf.iter_mut().zip(self.interference.waveform(rng, total)) {
+            *b += x;
         }
 
         let mask = self.excitation.availability_mask(rng, total);

@@ -45,12 +45,11 @@ impl ChannelTaps {
     pub fn apply(&self, input: &[Iq]) -> Vec<Iq> {
         let mut out = vec![Iq::ZERO; input.len()];
         for &(delay, gain) in &self.taps {
-            for (i, &x) in input.iter().enumerate() {
-                let j = i + delay;
-                if j >= out.len() {
-                    break;
-                }
-                out[j] += x * gain;
+            let Some(echo) = out.get_mut(delay..) else {
+                continue;
+            };
+            for (o, &x) in echo.iter_mut().zip(input) {
+                *o += x * gain;
             }
         }
         out
@@ -135,6 +134,7 @@ impl Default for MultipathModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -226,6 +226,67 @@ mod tests {
             assert!(delay >= 1 && delay <= model.max_echo_delay);
             assert!(gain.power() < main_p, "echo stronger than main tap");
         }
+    }
+
+    /// The sparse convolution as first written, index by index: the
+    /// reference `ChannelTaps::apply` must match bit for bit.
+    fn apply_oracle(taps: &ChannelTaps, input: &[Iq]) -> Vec<Iq> {
+        let mut out = vec![Iq::ZERO; input.len()];
+        for &(delay, gain) in &taps.taps {
+            for (i, &x) in input.iter().enumerate() {
+                let j = i + delay;
+                if j >= out.len() {
+                    break;
+                }
+                out[j] += x * gain;
+            }
+        }
+        out
+    }
+
+    fn bits(samples: &[Iq]) -> Vec<(u64, u64)> {
+        samples
+            .iter()
+            .map(|s| (s.re.to_bits(), s.im.to_bits()))
+            .collect()
+    }
+
+    /// Components that include both signed zeros, whose sums the
+    /// rewrite must not reorder.
+    fn component() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(-0.0), any::<f64>()]
+    }
+
+    fn iq() -> impl Strategy<Value = Iq> {
+        (component(), component()).prop_map(|(re, im)| Iq::new(re, im))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Empty input, delay-0 and echo taps, and taps at or past the
+        /// end of the input.
+        #[test]
+        fn apply_is_bit_identical_to_oracle(
+            input in prop::collection::vec(iq(), 0..24),
+            taps in prop::collection::vec((0usize..32, iq()), 0..4),
+        ) {
+            let taps = ChannelTaps { taps };
+            prop_assert_eq!(bits(&taps.apply(&input)), bits(&apply_oracle(&taps, &input)));
+        }
+    }
+
+    #[test]
+    fn apply_handles_empty_input_and_far_taps() {
+        let taps = ChannelTaps {
+            taps: vec![(0, Iq::ONE), (5, Iq::new(0.5, -0.5))],
+        };
+        assert!(taps.apply(&[]).is_empty());
+        let short = vec![Iq::new(-0.0, 1.0), Iq::new(2.0, -0.0)];
+        assert_eq!(
+            bits(&taps.apply(&short)),
+            bits(&apply_oracle(&taps, &short))
+        );
     }
 
     #[test]

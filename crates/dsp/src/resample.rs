@@ -74,21 +74,22 @@ pub fn fractional_delay(input: &[Iq], delay: f64) -> Vec<Iq> {
     let n = input.len();
     let int_part = delay.floor() as usize;
     let frac = delay - delay.floor();
-    let mut out = vec![Iq::ZERO; n];
     if int_part >= n {
-        return out;
+        return vec![Iq::ZERO; n];
     }
-    for i in int_part..n {
-        // out[i] interpolates between input[i - int_part] (weight 1-frac)
-        // and input[i - int_part - 1] (weight frac).
-        let cur = input[i - int_part];
-        let prev = if i > int_part {
-            input[i - int_part - 1]
-        } else {
-            Iq::ZERO
-        };
-        out[i] = cur.scale(1.0 - frac) + prev.scale(frac);
-    }
+    // out[int_part + k] interpolates between input[k] (weight 1 - frac)
+    // and input[k - 1] (weight frac), with an implicit zero before
+    // input[0].
+    let mut out = Vec::with_capacity(n);
+    out.resize(int_part, Iq::ZERO);
+    out.push(input[0].scale(1.0 - frac) + Iq::ZERO.scale(frac));
+    let arrived = &input[..n - int_part];
+    out.extend(
+        arrived[1..]
+            .iter()
+            .zip(arrived)
+            .map(|(&cur, &prev)| cur.scale(1.0 - frac) + prev.scale(frac)),
+    );
     out
 }
 
@@ -103,7 +104,8 @@ pub fn prepend_zeros(input: &[Iq], n: usize) -> Vec<Iq> {
 /// Extends (or truncates) a buffer to exactly `len` samples, padding with
 /// zeros at the back.
 pub fn fit_length(input: &[Iq], len: usize) -> Vec<Iq> {
-    let mut out = input.to_vec();
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&input[..input.len().min(len)]);
     out.resize(len, Iq::ZERO);
     out
 }
@@ -111,6 +113,112 @@ pub fn fit_length(input: &[Iq], len: usize) -> Vec<Iq> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `fractional_delay` as first written, index by index: the reference
+    /// the rewrite must match bit for bit.
+    fn fractional_delay_oracle(input: &[Iq], delay: f64) -> Vec<Iq> {
+        let n = input.len();
+        let int_part = delay.floor() as usize;
+        let frac = delay - delay.floor();
+        let mut out = vec![Iq::ZERO; n];
+        if int_part >= n {
+            return out;
+        }
+        for i in int_part..n {
+            let cur = input[i - int_part];
+            let prev = if i > int_part {
+                input[i - int_part - 1]
+            } else {
+                Iq::ZERO
+            };
+            out[i] = cur.scale(1.0 - frac) + prev.scale(frac);
+        }
+        out
+    }
+
+    /// `fit_length` as first written.
+    fn fit_length_oracle(input: &[Iq], len: usize) -> Vec<Iq> {
+        let mut out = input.to_vec();
+        out.resize(len, Iq::ZERO);
+        out
+    }
+
+    fn bits(samples: &[Iq]) -> Vec<(u64, u64)> {
+        samples
+            .iter()
+            .map(|s| (s.re.to_bits(), s.im.to_bits()))
+            .collect()
+    }
+
+    /// Components that include both signed zeros, whose sums the
+    /// rewrite must not reorder.
+    fn component() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(-0.0), any::<f64>()]
+    }
+
+    fn buffer() -> impl Strategy<Value = Vec<Iq>> {
+        prop::collection::vec(
+            (component(), component()).prop_map(|(re, im)| Iq::new(re, im)),
+            0..24,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Zero, integer and fractional delays, including delays at or
+        /// past the buffer length and empty buffers.
+        #[test]
+        fn fractional_delay_is_bit_identical_to_oracle(
+            input in buffer(),
+            delay in prop_oneof![
+                Just(0.0),
+                (0usize..32).prop_map(|d| d as f64),
+                0.0f64..32.0,
+            ],
+        ) {
+            prop_assert_eq!(
+                bits(&fractional_delay(&input, delay)),
+                bits(&fractional_delay_oracle(&input, delay))
+            );
+        }
+
+        /// Growing, shrinking and equal target lengths.
+        #[test]
+        fn fit_length_is_bit_identical_to_oracle(input in buffer(), delta in -8i64..8) {
+            let len = (input.len() as i64 + delta).max(0) as usize;
+            let fitted = fit_length(&input, len);
+            prop_assert_eq!(bits(&fitted), bits(&fit_length_oracle(&input, len)));
+        }
+    }
+
+    #[test]
+    fn rewritten_kernels_match_oracles_at_the_edges() {
+        let x: Vec<Iq> = [(-0.0, 1.0), (2.0, -0.0), (0.5, 0.25)]
+            .map(|(re, im)| Iq::new(re, im))
+            .to_vec();
+        for delay in [0.0, 0.5, 1.0, 2.75, 3.0, 4.5, 1e300] {
+            for input in [&x[..], &[]] {
+                assert_eq!(
+                    bits(&fractional_delay(input, delay)),
+                    bits(&fractional_delay_oracle(input, delay)),
+                    "delay {delay}, {} samples",
+                    input.len()
+                );
+            }
+        }
+        for len in [0, 2, 3, 7] {
+            assert_eq!(
+                bits(&fit_length(&x, len)),
+                bits(&fit_length_oracle(&x, len))
+            );
+            assert_eq!(
+                bits(&fit_length(&[], len)),
+                bits(&fit_length_oracle(&[], len))
+            );
+        }
+    }
 
     fn re(values: &[f64]) -> Vec<Iq> {
         values.iter().map(|&v| Iq::new(v, 0.0)).collect()

@@ -4,10 +4,12 @@
 //! campaign's checkpoint directory. On the next run the store replays
 //! matching checkpoints instead of recomputing, so an interrupted campaign
 //! resumes where it stopped. A checkpoint carries a header binding it to
-//! `(campaign, tier, root seed, replicates, rounds, schema)`; any mismatch
-//! — different seed, resized tier, renamed point — invalidates the file
-//! and the point is recomputed. Writes are atomic (`.tmp` + rename), so a
-//! kill mid-write never leaves a half checkpoint behind.
+//! `(campaign, tier, root seed, replicates, rounds, schema, realization
+//! version)`; any mismatch — different seed, resized tier, renamed point,
+//! a build that realises different samples for the same seed —
+//! invalidates the file and the point is recomputed. Writes are atomic
+//! (`.tmp` + rename), so a kill mid-write never leaves a half checkpoint
+//! behind.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -15,6 +17,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use cbma::obs::json::JsonValue;
+use cbma::sim::REALIZATION_VERSION;
 
 use crate::manifest::{PointResult, SCHEMA_VERSION};
 
@@ -37,6 +40,10 @@ impl CheckpointHeader {
     fn to_json_value(&self) -> JsonValue {
         let mut o = BTreeMap::new();
         o.insert("schema_version".into(), JsonValue::UInt(SCHEMA_VERSION));
+        o.insert(
+            "realization_version".into(),
+            JsonValue::UInt(REALIZATION_VERSION),
+        );
         o.insert("campaign".into(), JsonValue::Str(self.campaign.clone()));
         o.insert("tier".into(), JsonValue::Str(self.tier.clone()));
         o.insert("root_seed".into(), JsonValue::UInt(self.root_seed));
@@ -56,6 +63,7 @@ impl CheckpointHeader {
             o.get(k).and_then(JsonValue::as_u64) == Some(want)
         };
         u64_eq("schema_version", SCHEMA_VERSION)
+            && u64_eq("realization_version", REALIZATION_VERSION)
             && str_eq("campaign", &self.campaign)
             && str_eq("tier", &self.tier)
             && u64_eq("root_seed", self.root_seed)
@@ -209,6 +217,26 @@ mod tests {
         assert_eq!(store2.load(0, "p0"), None);
         // Original header still replays.
         assert!(store.load(0, "p0").is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn realization_version_mismatch_invalidates() {
+        let dir = tmpdir("realization");
+        let store = CheckpointStore::open(&dir, header()).unwrap();
+        let path = store.store(&result(0, "p0")).unwrap();
+        assert!(store.load(0, "p0").is_some());
+        // The same shard written by a build that realised other samples
+        // for this seed must be recomputed, not replayed.
+        let text = fs::read_to_string(&path).unwrap();
+        let current = format!("\"realization_version\":{REALIZATION_VERSION}");
+        assert!(text.contains(&current), "header lacks {current}: {text}");
+        let stale = format!("\"realization_version\":{}", REALIZATION_VERSION - 1);
+        fs::write(&path, text.replace(&current, &stale)).unwrap();
+        assert_eq!(store.load(0, "p0"), None);
+        // A shard from before the version existed is stale too.
+        fs::write(&path, text.replace(&format!("{current},"), "")).unwrap();
+        assert_eq!(store.load(0, "p0"), None);
         let _ = fs::remove_dir_all(&dir);
     }
 

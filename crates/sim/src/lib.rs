@@ -73,3 +73,14 @@ pub mod prelude {
 pub use engine::{Engine, RoundOutcome, StreamingConfig};
 pub use scenario::Scenario;
 pub use stats::{Cdf, RunStats};
+
+/// Version of the sample streams a seeded [`Engine`] realises.
+///
+/// The same scenario and seed give the same rounds only within one
+/// version. Bump it whenever a change re-draws any seeded stream (a new
+/// sampler, a different draw order), so results stored by seed, such as
+/// campaign checkpoints, are recomputed instead of replayed.
+///
+/// History: 1, Box–Muller for every Gaussian draw; 2, ziggurat receiver
+/// noise and interference samples.
+pub const REALIZATION_VERSION: u64 = 2;

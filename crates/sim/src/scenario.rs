@@ -245,6 +245,31 @@ mod tests {
         assert!((s.coupling_radius - 0.0749).abs() < 0.001);
     }
 
+    /// The frozen environment of the paper-default deployment: shadowing
+    /// at the four tag positions of the `round_4tag` benchmark workload.
+    /// Shadowing is drawn per deployment with Box–Muller; a sampler change
+    /// that re-draws it changes every figure's geometry, not just its
+    /// noise, so it must show up here.
+    #[test]
+    fn paper_default_shadowing_is_pinned() {
+        let positions = [(0.0, 0.35), (0.25, -0.40), (-0.30, 0.45), (0.40, 0.55)];
+        let s = Scenario::paper_default(positions.map(|(x, y)| Point::new(x, y)).to_vec());
+        let offsets: Vec<f64> = s
+            .tag_positions
+            .iter()
+            .map(|&p| s.shadowing.offset_for(p).get())
+            .collect();
+        assert_eq!(
+            offsets,
+            [
+                1.6092972428383856,
+                -2.1912150607567247,
+                5.946619527030553,
+                0.22095109203668828
+            ]
+        );
+    }
+
     #[test]
     fn builders() {
         let s = Scenario::paper_default(positions(2))
