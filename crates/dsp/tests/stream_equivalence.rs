@@ -4,9 +4,9 @@
 //! A window whose length is not a multiple of the FFT block leaves a
 //! final block shorter than the transform; each engine must zero-pad it
 //! through the same `load_block` helper so the one-shot batch pass, the
-//! chunk-fed [`BatchStream`], and the multi-window fallback that
-//! `Receiver::receive_coalesced` rides (mixed window sizes route through
-//! `fallback_multi` → `BatchCorrelator::correlate_iq_into`) all produce
+//! chunk-fed [`BatchStream`], and the multi-window fallback (mixed
+//! window sizes route through `fallback_multi` →
+//! `BatchCorrelator::correlate_iq_into`) all produce
 //! **bit-identical** correlation rows — especially the rows of the last
 //! window, whose tail is the ragged one.
 
@@ -43,7 +43,7 @@ fn assert_rows_bit_identical(got: &[Iq], want: &[Iq], label: &str) {
     }
 }
 
-/// The last window of a mixed-size coalesced batch ends in a ragged
+/// The last window of a mixed-size multi-window batch ends in a ragged
 /// final block. Its correlation rows must be bit-identical across the
 /// one-shot pass, the streamed pass under several chunkings, and the
 /// multi-window fallback.

@@ -34,7 +34,6 @@ pub mod frame_sync;
 pub mod receiver;
 pub mod runtime;
 pub mod sic;
-pub mod stream_pool;
 pub mod user_detect;
 
 pub use ack::AckMessage;
@@ -43,10 +42,9 @@ pub use downlink::AckWire;
 pub use frame_sync::{FrameSync, SyncStream};
 pub use receiver::{Receiver, ReceiverConfig, RxReport, RxScratch, RxTelemetry};
 pub use runtime::{
-    CaptureSource, FlowgraphError, MultiStreamFlowgraph, RunOutput, RunStats, RuntimeConfig,
-    RxFlowgraph, SampleSource, Scheduler, SourceBlock, StageKind,
+    CaptureSource, FlowgraphError, RunOutput, RunStats, RuntimeConfig, RxFlowgraph, SampleSource,
+    Scheduler, SourceBlock, StageKind, StreamResult,
 };
-pub use stream_pool::{InOrderEmitter, StreamPool, StreamPoolConfig, StreamResult};
 pub use user_detect::{
     CorrelationPath, DetectScratch, DetectedUser, MultiDetectScratch, UserDetector,
     FFT_LAG_CROSSOVER,

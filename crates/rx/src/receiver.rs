@@ -46,9 +46,7 @@ use cbma_types::Iq;
 use crate::ack::AckMessage;
 use crate::decoder::{DecodeOutcome, Decoder, DecoderKind};
 use crate::frame_sync::{FrameSync, SyncScratch};
-use crate::user_detect::{
-    CorrelationPath, DetectScratch, DetectedUser, MultiDetectScratch, UserDetector,
-};
+use crate::user_detect::{CorrelationPath, DetectScratch, DetectedUser, UserDetector};
 
 /// Tunable receiver parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,16 +150,20 @@ impl PartialEq for RxTelemetry {
     fn eq(&self, other: &RxTelemetry) -> bool {
         // Deliberately skips frame_sync_ns / user_detect_ns / decode_ns /
         // sic_ns: wall-clock spans are observability metadata, not part of
-        // the receiver's deterministic output.
+        // the receiver's deterministic output. The float statistics
+        // compare bit for bit, so a report stays equal to itself when a
+        // non-finite capture makes one of them NaN (the SIC residual
+        // energy of a capture holding a NaN sample).
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
         self.candidates_evaluated == other.candidates_evaluated
             && self.probes_attempted == other.probes_attempted
             && self.aliases_suppressed == other.aliases_suppressed
             && self.decode_failures == other.decode_failures
-            && self.peak_correlation == other.peak_correlation
-            && self.peak_margin == other.peak_margin
+            && same(self.peak_correlation, other.peak_correlation)
+            && same(self.peak_margin, other.peak_margin)
             && self.sic_iterations == other.sic_iterations
             && self.sic_recovered == other.sic_recovered
-            && self.sic_residual_energy == other.sic_residual_energy
+            && same(self.sic_residual_energy, other.sic_residual_energy)
     }
 }
 
@@ -290,11 +292,6 @@ impl RxMetrics {
 pub struct RxScratch {
     sync: SyncScratch,
     detect: DetectScratch,
-    /// Coalesced multi-window detection arena (see
-    /// [`Receiver::receive_coalesced`]).
-    multi_detect: MultiDetectScratch,
-    /// Per-window candidate lists from the coalesced detection pass.
-    multi_candidates: Vec<Vec<Vec<DetectedUser>>>,
     candidates: Vec<Vec<DetectedUser>>,
     decoded: Vec<Vec<DecodedUser>>,
     /// `(code, candidate index)` pairs, sorted by descending correlation.
@@ -318,8 +315,6 @@ impl RxScratch {
         RxScratch {
             sync: sync.scratch(),
             detect: DetectScratch::new(),
-            multi_detect: MultiDetectScratch::new(),
-            multi_candidates: Vec::new(),
             candidates: Vec::new(),
             decoded: Vec::new(),
             order: Vec::new(),
@@ -339,13 +334,6 @@ impl RxScratch {
     pub fn capacity_bytes(&self) -> usize {
         self.sync.capacity_bytes()
             + self.detect.capacity_bytes()
-            + self.multi_detect.capacity_bytes()
-            + self
-                .multi_candidates
-                .iter()
-                .flatten()
-                .map(|v| v.capacity() * std::mem::size_of::<DetectedUser>())
-                .sum::<usize>()
             + self.candidates.capacity() * std::mem::size_of::<Vec<DetectedUser>>()
             + self
                 .candidates
@@ -548,133 +536,6 @@ impl Receiver {
         report.telemetry.sic_ns = sic_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     }
 
-    /// Processes a batch of captured buffers in one coalesced pass:
-    /// frame-sync runs per capture, then every synced search window joins
-    /// a single [`UserDetector::detect_candidates_multi`] matrix pass
-    /// (one forward transform per window, the cached reference spectra
-    /// and twiddle tables shared across all windows), and the decode /
-    /// alias-resolution / SIC phases run per capture exactly as
-    /// [`Receiver::receive`] does. Reports come back index-aligned with
-    /// `captures`.
-    ///
-    /// Detections are the same as W separate [`Receiver::receive`] calls
-    /// (offsets exactly; correlations and gains within FFT rounding —
-    /// see `tests/coalesced_equivalence.rs`), so downstream outcomes
-    /// agree except on razor's-edge threshold ties that move by < 1e-9.
-    ///
-    /// When a tracer is attached the batch records a single
-    /// `coalesced_receive` root (or nests under
-    /// [`Receiver::set_trace_parent`]) with per-capture `frame_sync`
-    /// spans, one shared `user_detect` span (containing the engine's
-    /// `multi_window_correlate` span) and per-capture `decode`/`sic`
-    /// spans as direct children; the shared detection cost is split
-    /// evenly across the coalesced captures' `user_detect_ns` telemetry.
-    pub fn receive_coalesced(&mut self, captures: &[&[Iq]]) -> Vec<RxReport> {
-        let tracer = self.tracer.clone();
-        let batch_span = tracer.as_ref().map(|t| {
-            let (trace, parent) = match self.trace_parent.take() {
-                Some((trace, parent)) => (trace, Some(parent)),
-                None => (t.new_trace(), None),
-            };
-            (trace, t.span(trace, parent, "coalesced_receive"))
-        });
-        let trace: TraceCtx = batch_span
-            .as_ref()
-            .map(|(trace, span)| (tracer.as_ref().expect("span implies tracer"), *trace, span.id()));
-
-        let mut reports: Vec<RxReport> = Vec::with_capacity(captures.len());
-        // (capture index, window start, window end) for captures whose
-        // energy edge yielded a usable search window.
-        let mut synced: Vec<(usize, usize, usize)> = Vec::with_capacity(captures.len());
-        for (i, &samples) in captures.iter().enumerate() {
-            let mut telemetry = RxTelemetry::default();
-            match self.sync_capture(samples, &mut telemetry, trace) {
-                SyncOutcome::NoEdge => reports.push(RxReport {
-                    telemetry,
-                    ..RxReport::default()
-                }),
-                SyncOutcome::EmptyWindow => reports.push(RxReport {
-                    frame_detected: true,
-                    telemetry,
-                    ..RxReport::default()
-                }),
-                SyncOutcome::Window(start, end) => {
-                    synced.push((i, start, end));
-                    reports.push(RxReport {
-                        frame_detected: true,
-                        telemetry,
-                        ..RxReport::default()
-                    });
-                }
-            }
-        }
-        if !synced.is_empty() {
-            let stage_start = Instant::now();
-            let windows: Vec<&[Iq]> = synced.iter().map(|&(i, s, e)| &captures[i][s..e]).collect();
-            let origins: Vec<usize> = synced.iter().map(|&(_, s, _)| s).collect();
-            let RxScratch {
-                multi_detect,
-                multi_candidates,
-                ..
-            } = &mut self.scratch;
-            match trace {
-                Some((tracer, tr, parent)) => {
-                    let span = tracer.span(tr, Some(parent), "user_detect");
-                    self.detector.detect_candidates_multi_traced(
-                        &windows,
-                        &origins,
-                        8,
-                        multi_detect,
-                        multi_candidates,
-                        tracer,
-                        tr,
-                        span.id(),
-                    );
-                }
-                None => self.detector.detect_candidates_multi(
-                    &windows,
-                    &origins,
-                    8,
-                    multi_detect,
-                    multi_candidates,
-                ),
-            }
-            let per_window_ns =
-                (stage_start.elapsed().as_nanos() / synced.len() as u128).min(u64::MAX as u128) as u64;
-            for (w, &(i, window_start, _)) in synced.iter().enumerate() {
-                // Stage window w's candidate lists into the single-capture
-                // arena so the decode phases run unchanged.
-                let RxScratch {
-                    candidates,
-                    multi_candidates,
-                    ..
-                } = &mut self.scratch;
-                let per_code = &multi_candidates[w];
-                candidates.truncate(per_code.len());
-                for v in candidates.iter_mut() {
-                    v.clear();
-                }
-                candidates.resize_with(per_code.len(), Vec::new);
-                for (dst, src) in candidates.iter_mut().zip(per_code) {
-                    dst.extend_from_slice(src);
-                }
-                let mut telemetry = reports[i].telemetry;
-                telemetry.user_detect_ns = per_window_ns;
-                let mut report = self.decode_detected(captures[i], window_start, telemetry, trace);
-                self.apply_sic(captures[i], &mut report, trace);
-                reports[i] = report;
-            }
-        }
-        drop(batch_span);
-        if let Some(metrics) = &self.metrics {
-            for report in &reports {
-                metrics.record(report);
-            }
-            metrics.scratch_bytes.set(self.scratch.capacity_bytes() as f64);
-        }
-        reports
-    }
-
     /// Heap capacity currently retained by the receiver's scratch arena.
     pub fn scratch_capacity_bytes(&self) -> usize {
         self.scratch.capacity_bytes()
@@ -701,8 +562,7 @@ impl Receiver {
     /// The per-code candidate arena, so the streaming runtime can move
     /// detection results between stage receivers — the detect stage swaps
     /// its lists out into the stage message, the decode stage stages them
-    /// back in (the same clear-and-refill pattern
-    /// [`Receiver::receive_coalesced`] uses for multi-window results).
+    /// back in ([`Receiver::stage_candidates`]).
     pub(crate) fn candidates_mut(&mut self) -> &mut Vec<Vec<DetectedUser>> {
         &mut self.scratch.candidates
     }
@@ -957,8 +817,8 @@ impl Receiver {
     }
 
     /// The decode half of the pipeline: consumes the candidate lists in
-    /// `self.scratch.candidates` (filled by either the single-window or
-    /// the coalesced multi-window detection pass) and runs candidate
+    /// `self.scratch.candidates` (filled by the whole-window or the
+    /// block-fed detection pass) and runs candidate
     /// decoding, global alias resolution and the fine-alignment probe
     /// fallback. Returns the assembled report with `frame_detected` set.
     fn decode_detected(
@@ -1101,7 +961,10 @@ impl Receiver {
                 // receiver's near-far limit: a tag far below the aggregate
                 // received energy is undetectable until power control
                 // equalizes the group.
-                if det.correlation < self.detector.threshold() {
+                // The peak path's own test (`v >= threshold`), so a NaN
+                // correlation from a non-finite sample fails it too.
+                let clears = det.correlation >= self.detector.threshold();
+                if !clears {
                     continue;
                 }
                 let (outcome, bits) =

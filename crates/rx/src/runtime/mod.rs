@@ -37,9 +37,9 @@
 //! (`crates/rx/tests/streaming_equivalence.rs`) pins this for block
 //! sizes 1, prime, power-of-two and whole-capture on both schedulers.
 //!
-//! Results leave through the same in-order emission
-//! ([`crate::stream_pool::InOrderEmitter`]) the worker pool uses: per
-//! stream, in capture order, regardless of internal pipelining.
+//! Results leave through one in-order emitter (`InOrderEmitter`) on
+//! every scheduler: per stream, in capture order, regardless of internal
+//! pipelining.
 
 pub mod affinity;
 pub mod ring;
@@ -48,9 +48,8 @@ pub mod worksteal;
 
 pub use ring::{ring, Consumer, DepthProbe, Producer, RingError, RingWaker, TryPop, TryPush};
 pub use source::{CaptureSource, SampleSource, SourceBlock};
-pub use worksteal::MultiStreamFlowgraph;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -62,7 +61,6 @@ use cbma_types::Iq;
 
 use crate::frame_sync::SyncStream;
 use crate::receiver::{Receiver, ReceiverConfig, RxReport, RxTelemetry, SyncOutcome, TraceCtx};
-use crate::stream_pool::{InOrderEmitter, StreamResult};
 use crate::user_detect::DetectedUser;
 
 /// How the flowgraph maps stages onto threads.
@@ -268,6 +266,56 @@ pub struct RunOutput {
     pub results: Vec<StreamResult>,
     /// Runtime diagnostics.
     pub stats: RunStats,
+}
+
+/// One processed capture, tagged with its stream and per-stream sequence
+/// number.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamResult {
+    /// The stream the capture was submitted under.
+    pub stream: usize,
+    /// Per-stream submission index (0-based).
+    pub seq: u64,
+    /// The receiver's report for the capture.
+    pub report: RxReport,
+}
+
+/// In-order `(stream, seq)` emission for every scheduler's sink:
+/// completions are buffered in whatever order the stages finish and
+/// leave per stream in submission order.
+#[derive(Debug, Default)]
+pub(crate) struct InOrderEmitter {
+    /// Next seq to emit per stream.
+    emit_next: Vec<u64>,
+    /// Out-of-order completions awaiting their predecessors.
+    reorder: BTreeMap<(usize, u64), RxReport>,
+}
+
+impl InOrderEmitter {
+    /// Buffers one completion until its per-stream predecessors emit.
+    pub(crate) fn insert(&mut self, stream: usize, seq: u64, report: RxReport) {
+        if self.emit_next.len() <= stream {
+            self.emit_next.resize(stream + 1, 0);
+        }
+        self.reorder.insert((stream, seq), report);
+    }
+
+    /// Moves every in-order entry out of the reorder buffer, in
+    /// `(stream, seq)` order.
+    pub(crate) fn take_ready(&mut self) -> Vec<StreamResult> {
+        let mut out = Vec::new();
+        for stream in 0..self.emit_next.len() {
+            while let Some(report) = self.reorder.remove(&(stream, self.emit_next[stream])) {
+                out.push(StreamResult {
+                    stream,
+                    seq: self.emit_next[stream],
+                    report,
+                });
+                self.emit_next[stream] += 1;
+            }
+        }
+        out
+    }
 }
 
 /// Registered metric handles for the runtime (see
@@ -762,7 +810,7 @@ impl RxFlowgraph {
     ) -> Result<RunStats, FlowgraphError> {
         let (_root, obs, _guards) = self.stage_obs();
         let mut stats = RunStats::default();
-        let mut emitter = InOrderEmitter::new();
+        let mut emitter = InOrderEmitter::default();
         while let Some(block) = source.next_block() {
             stats.blocks += 1;
             let seq = block.seq;
@@ -935,7 +983,7 @@ impl RxFlowgraph {
             // The caller's thread is the sink: pop in completion order,
             // emit in (stream, seq) order.
             let res_rx = res_rx;
-            let mut emitter = InOrderEmitter::new();
+            let mut emitter = InOrderEmitter::default();
             loop {
                 match res_rx.pop() {
                     Ok(Some(r)) => {

@@ -29,8 +29,7 @@
 //!
 //! **Decision identity.** Workers run stage bodies against worker-local
 //! [`Receiver`]s. The stage seams are per-capture stateless (their
-//! scratch arenas are cleared per use — the same property
-//! `crates/rx/src/stream_pool.rs` relies on), per-stream order is
+//! scratch arenas are cleared per use), per-stream order is
 //! enforced by the chain FIFOs, and the global decisions (frame-sync
 //! edge, alias resolution) happen inside a single stage activation — so
 //! which worker runs a task, in which interleaving, at which pool size,
@@ -46,21 +45,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use cbma_codes::PnCode;
 use cbma_obs::trace::Tracer;
-use cbma_obs::MetricsRegistry;
-use cbma_tag::phy::PhyProfile;
-use cbma_types::Iq;
 
-use crate::receiver::{Receiver, ReceiverConfig};
-use crate::stream_pool::{InOrderEmitter, StreamResult};
+use crate::receiver::Receiver;
 
 use super::ring::{ring, Consumer, DepthProbe, Producer, RingError, TryPop, TryPush};
-use super::source::{CaptureSource, SampleSource, SourceBlock};
+use super::source::{SampleSource, SourceBlock};
 use super::{
     decode_capture, detect_capture, panic_message, sic_capture, sync_block, DecodedCapture,
-    DetectedCapture, FaultPlan, FlowgraphError, InflightSync, RunOutput, RunStats, RuntimeConfig,
-    RuntimeMetrics, RxFlowgraph, StageKind, StageObs, SyncedCapture,
+    DetectedCapture, FaultPlan, FlowgraphError, InOrderEmitter, InflightSync, RunStats,
+    RuntimeMetrics, StageKind, StageObs, StreamResult, SyncedCapture,
 };
 
 /// Stages per stream chain; task ids are `stream * STAGES + stage`.
@@ -648,7 +642,7 @@ pub(super) fn run<S: SampleSource>(
         }
 
         // ── The driver loop (caller thread) ──────────────────────────
-        let mut emitter = InOrderEmitter::new();
+        let mut emitter = InOrderEmitter::default();
         let mut pending_block: Option<SourceBlock> = None;
         let mut source_done = false;
         let mut finished = vec![false; streams];
@@ -758,203 +752,4 @@ pub(super) fn run<S: SampleSource>(
         }
     }
     (stats, failure)
-}
-
-/// N independent capture streams multiplexed over one flowgraph — the
-/// generalization of [`crate::stream_pool::StreamPool`] onto the
-/// work-stealing runtime. Queue captures with
-/// [`MultiStreamFlowgraph::submit`], then [`MultiStreamFlowgraph::run`]
-/// drains the whole batch through one pool with per-stream in-order
-/// emission.
-///
-/// Unlike `StreamPool` (whole-capture tasks, one receiver per OS
-/// thread), every stage of every stream here is a stealable task, so
-/// hundreds of streams share a fixed worker count — and decisions are
-/// bit-identical to running each stream through [`super::Scheduler::Inline`].
-///
-/// # Examples
-///
-/// ```
-/// use cbma_codes::{CodeFamily, GoldFamily};
-/// use cbma_rx::runtime::{MultiStreamFlowgraph, RuntimeConfig, Scheduler};
-/// use cbma_rx::ReceiverConfig;
-/// use cbma_tag::phy::PhyProfile;
-/// use cbma_types::Iq;
-///
-/// let codes = GoldFamily::new(5)?.codes(2)?;
-/// let runtime = RuntimeConfig {
-///     block_size: 512,
-///     ring_capacity: 2,
-///     scheduler: Scheduler::WorkStealing { workers: 2, pin: false },
-/// };
-/// let mut multi = MultiStreamFlowgraph::new(
-///     codes,
-///     PhyProfile::paper_default(),
-///     ReceiverConfig::default(),
-///     runtime,
-/// );
-/// for stream in 0..3 {
-///     multi.submit(stream, vec![Iq::ZERO; 1500]);
-/// }
-/// let out = multi.run().expect("no stage fails");
-/// assert_eq!(out.results.len(), 3);
-/// # Ok::<(), cbma_types::CbmaError>(())
-/// ```
-pub struct MultiStreamFlowgraph {
-    flow: RxFlowgraph,
-    /// Captures queued per stream for the next run.
-    queued: Vec<VecDeque<Vec<Iq>>>,
-}
-
-impl MultiStreamFlowgraph {
-    /// Builds the multiplexer. The `runtime.scheduler` is typically
-    /// [`super::Scheduler::WorkStealing`], but any scheduler works —
-    /// the chains and emission order are scheduler-independent.
-    pub fn new(
-        codes: Vec<PnCode>,
-        phy: PhyProfile,
-        config: ReceiverConfig,
-        runtime: RuntimeConfig,
-    ) -> MultiStreamFlowgraph {
-        MultiStreamFlowgraph {
-            flow: RxFlowgraph::new(codes, phy, config, runtime),
-            queued: Vec::new(),
-        }
-    }
-
-    /// See [`RxFlowgraph::attach_tracer`].
-    pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.flow.attach_tracer(tracer);
-    }
-
-    /// See [`RxFlowgraph::attach_metrics`].
-    pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
-        self.flow.attach_metrics(registry);
-    }
-
-    /// Queues one capture on `stream` (streams grow on first use) and
-    /// returns the seq its result will carry in the next
-    /// [`MultiStreamFlowgraph::run`] — the capture's position in the
-    /// stream's current batch.
-    pub fn submit(&mut self, stream: usize, capture: Vec<Iq>) -> u64 {
-        while self.queued.len() <= stream {
-            self.queued.push(VecDeque::new());
-        }
-        let queue = &mut self.queued[stream];
-        queue.push_back(capture);
-        (queue.len() - 1) as u64
-    }
-
-    /// Captures queued for the next run.
-    pub fn pending(&self) -> usize {
-        self.queued.iter().map(|q| q.len()).sum()
-    }
-
-    /// Streams seen so far.
-    pub fn streams(&self) -> usize {
-        self.queued.len()
-    }
-
-    /// Runs the queued batch to completion; results arrive per stream in
-    /// submission order. The batch is consumed either way — a failed run
-    /// does not replay it.
-    pub fn run(&mut self) -> Result<RunOutput, FlowgraphError> {
-        let mut results = Vec::new();
-        let stats = self.run_with_sink(|r| results.push(r))?;
-        Ok(RunOutput { results, stats })
-    }
-
-    /// Like [`MultiStreamFlowgraph::run`] with streaming emission into
-    /// `sink`.
-    pub fn run_with_sink(
-        &mut self,
-        sink: impl FnMut(StreamResult),
-    ) -> Result<RunStats, FlowgraphError> {
-        let mut source = CaptureSource::new(self.flow.runtime_config().block_size);
-        for (stream, queue) in self.queued.iter_mut().enumerate() {
-            for capture in queue.drain(..) {
-                source.push(stream, capture);
-            }
-        }
-        self.flow.run_with_sink(source, sink)
-    }
-}
-
-impl std::fmt::Debug for MultiStreamFlowgraph {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiStreamFlowgraph")
-            .field("streams", &self.queued.len())
-            .field("pending", &self.pending())
-            .finish_non_exhaustive()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::Scheduler;
-    use super::*;
-    use cbma_codes::{CodeFamily, GoldFamily};
-
-    fn multi(workers: usize) -> MultiStreamFlowgraph {
-        let codes = GoldFamily::new(5).unwrap().codes(2).unwrap();
-        MultiStreamFlowgraph::new(
-            codes,
-            PhyProfile::paper_default(),
-            ReceiverConfig::default(),
-            RuntimeConfig {
-                block_size: 256,
-                ring_capacity: 2,
-                scheduler: Scheduler::WorkStealing {
-                    workers,
-                    pin: false,
-                },
-            },
-        )
-    }
-
-    #[test]
-    fn multiplexes_streams_with_in_order_emission() {
-        let mut multi = multi(3);
-        for stream in 0..4 {
-            for _ in 0..3 {
-                multi.submit(stream, vec![Iq::ZERO; 700]);
-            }
-        }
-        assert_eq!(multi.pending(), 12);
-        let out = multi.run().expect("clean run");
-        assert_eq!(out.results.len(), 12);
-        assert_eq!(multi.pending(), 0);
-        for stream in 0..4 {
-            let seqs: Vec<u64> = out
-                .results
-                .iter()
-                .filter(|r| r.stream == stream)
-                .map(|r| r.seq)
-                .collect();
-            assert_eq!(seqs, vec![0, 1, 2], "stream {stream}");
-        }
-        // The batch actually exercised the pool.
-        assert_eq!(out.stats.captures, 12);
-        assert!(out.stats.steals + out.stats.local_hits > 0);
-    }
-
-    #[test]
-    fn reuse_across_batches_restarts_seqs() {
-        let mut multi = multi(2);
-        multi.submit(0, vec![Iq::ZERO; 500]);
-        let first = multi.run().expect("clean run");
-        assert_eq!(first.results.len(), 1);
-        let seq = multi.submit(0, vec![Iq::ZERO; 500]);
-        assert_eq!(seq, 0, "seqs are per batch");
-        let second = multi.run().expect("clean run");
-        assert_eq!(second.results.len(), 1);
-        assert_eq!(second.results[0].seq, 0);
-    }
-
-    #[test]
-    fn empty_run_terminates() {
-        let mut multi = multi(2);
-        let out = multi.run().expect("empty batch is a no-op");
-        assert!(out.results.is_empty());
-    }
 }

@@ -48,9 +48,20 @@ fn collision_capture(codes: &[PnCode], phy: &PhyProfile) -> Vec<Iq> {
         .collect()
 }
 
+/// A frame capture (lead 300) with sample `300 + at` replaced by `bad`.
+fn poisoned_capture(codes: &[PnCode], phy: &PhyProfile, at: usize, bad: Iq) -> Vec<Iq> {
+    let mut capture = capture_for(codes, phy, 0, 300);
+    capture[300 + at] = bad;
+    capture
+}
+
 /// The shared capture set: single-tag frames at different leads, a
 /// collision, pure silence, sub-threshold ripple, a capture too short to
-/// hold a reference window, and an empty capture.
+/// hold a reference window, an empty capture, and malformed IQ: one
+/// `+Inf` sample inside the preamble (the correlation at the true lag
+/// turns NaN, which the probe fallback must reject like the peak path
+/// does), one NaN sample in the payload, all-NaN, and a frame clipped to
+/// full scale.
 fn capture_set(codes: &[PnCode], phy: &PhyProfile) -> Vec<Vec<Iq>> {
     vec![
         capture_for(codes, phy, 0, 300),
@@ -63,6 +74,13 @@ fn capture_set(codes: &[PnCode], phy: &PhyProfile) -> Vec<Vec<Iq>> {
         vec![Iq::ZERO; 40],
         Vec::new(),
         capture_for(codes, phy, 1, 356),
+        poisoned_capture(codes, phy, 200, Iq::new(f64::INFINITY, 0.0)),
+        poisoned_capture(codes, phy, 2000, Iq::new(f64::NAN, f64::NAN)),
+        vec![Iq::new(f64::NAN, f64::NAN); 2000],
+        capture_for(codes, phy, 2, 300)
+            .into_iter()
+            .map(|s| Iq::new((1e4 * s.re).clamp(-1.0, 1.0), (1e4 * s.im).clamp(-1.0, 1.0)))
+            .collect(),
     ]
 }
 
@@ -136,7 +154,9 @@ fn streaming_decisions_match_with_sic_enabled() {
 fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
     // Blocks of different streams interleave through the pipeline; each
     // stream's captures must still come out in seq order with the same
-    // decisions as a dedicated monolithic receiver per stream.
+    // decisions as a dedicated monolithic receiver per stream. Stream 1
+    // never receives a capture: a gap in the stream ids must neither
+    // block the others nor emit anything.
     let phy = PhyProfile::paper_default();
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let config = ReceiverConfig::default();
@@ -146,6 +166,7 @@ fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
             vec![Iq::ZERO; 1500],
             capture_for(&codes, &phy, 1, 410),
         ],
+        Vec::new(),
         vec![collision_capture(&codes, &phy), capture_for(&codes, &phy, 2, 350)],
     ];
     let expected: Vec<Vec<RxReport>> = per_stream
@@ -221,23 +242,40 @@ fn pinned_workers_match_unpinned_decisions() {
 #[test]
 fn flowgraph_reuse_across_runs_matches_fresh_state() {
     // A second `run` on the same flowgraph must see no leftover state
-    // from the first (sync streams, correlator carry, candidate lists).
+    // from the first (sync streams, correlator carry, candidate lists),
+    // and its seqs restart at 0. An empty run in between must terminate
+    // and emit nothing.
     let phy = PhyProfile::paper_default();
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let config = ReceiverConfig::default();
     let captures = capture_set(&codes, &phy);
     let expected = monolithic_reports(&codes, phy, config, &captures);
 
-    let runtime = RuntimeConfig {
-        block_size: 512,
-        ring_capacity: 2,
-        scheduler: Scheduler::Inline,
-    };
-    let mut flow = RxFlowgraph::new(codes, phy, config, runtime);
-    for pass in 0..2 {
-        let source = CaptureSource::single_stream(512, captures.clone());
-        let output = flow.run(source).unwrap();
-        let got: Vec<RxReport> = output.results.into_iter().map(|r| r.report).collect();
-        assert_eq!(got, expected, "pass {pass}");
+    for scheduler in [
+        Scheduler::Inline,
+        Scheduler::WorkStealing { workers: 2, pin: false },
+    ] {
+        let runtime = RuntimeConfig {
+            block_size: 512,
+            ring_capacity: 2,
+            scheduler,
+        };
+        let mut flow = RxFlowgraph::new(codes.clone(), phy, config, runtime);
+        for (pass, inputs) in [captures.clone(), Vec::new(), captures.clone()]
+            .into_iter()
+            .enumerate()
+        {
+            let want = if inputs.is_empty() { &[][..] } else { &expected[..] };
+            let source = CaptureSource::single_stream(512, inputs);
+            let output = flow.run(source).unwrap();
+            let seqs: Vec<u64> = output.results.iter().map(|r| r.seq).collect();
+            assert_eq!(
+                seqs,
+                (0..want.len() as u64).collect::<Vec<_>>(),
+                "{scheduler:?} pass {pass}"
+            );
+            let got: Vec<RxReport> = output.results.into_iter().map(|r| r.report).collect();
+            assert_eq!(got, want, "{scheduler:?} pass {pass}");
+        }
     }
 }

@@ -65,6 +65,18 @@ impl RoundOutcome {
     }
 }
 
+/// A round realized but not yet received: everything
+/// [`Engine::settle_round`] needs once the receiver's report is in.
+struct PendingRound {
+    round: u64,
+    start: Instant,
+    active: Vec<usize>,
+    payloads: Vec<Vec<u8>>,
+    signal_meta: Vec<SignalMeta>,
+    iq: Vec<cbma_types::Iq>,
+    fault_rng: rand::rngs::StdRng,
+}
+
 /// Pre-registered `cbma.sim.*` metric handles (lock-free atomics), bound
 /// once by [`Engine::attach_observability`].
 #[derive(Debug, Clone)]
@@ -310,22 +322,37 @@ impl Engine {
     ///
     /// Panics if an index is out of range.
     pub fn run_round_subset(&mut self, active: &[usize]) -> RoundOutcome {
-        let round_start = Instant::now();
-        let round = self.round;
-        self.round += 1;
         // The guard owns a tracer clone, so the later `&mut self` receiver
         // call is unencumbered; dropping it at function end closes the
         // round span around the whole round.
         let _round_span = self.tracer.clone().map(|tracer| {
             let trace = tracer.new_trace();
             let mut span = tracer.span(trace, None, "round");
-            span.set_arg(round);
+            span.set_arg(self.round);
             self.receiver.set_trace_parent(trace, span.id());
             span
         });
+        let pending = self.begin_round(active);
+        let report = self.receiver.receive(&pending.iq);
+        self.settle_round(pending, report)
+    }
+
+    /// The pre-reception half of a round, shared by every round loop:
+    /// claims the next round index, derives its seed streams, drops dead
+    /// tags, realizes the channel and steps mobility.
+    ///
+    /// Mobility steps right after realization. It draws from its own
+    /// `"mobility"` stream (not the fault stream, whose draw count depends
+    /// on how many frames were delivered), and neither reception nor
+    /// settling reads tag positions, so a loop that realizes several
+    /// rounds before receiving any of them lands on the same trajectory.
+    fn begin_round(&mut self, active: &[usize]) -> PendingRound {
+        let start = Instant::now();
+        let round = self.round;
+        self.round += 1;
         let round_seq = self.seq.child(&format!("round-{round}"));
         let mut chan_rng = round_seq.rng("channel");
-        let mut fault_rng = round_seq.rng("faults");
+        let fault_rng = round_seq.rng("faults");
 
         // Injected tag deaths: dead tags silently drop out of the round.
         let active: Vec<usize> = active
@@ -335,14 +362,9 @@ impl Engine {
             .collect();
 
         let (iq, signal_meta, payloads) = self.realize_round(&active, round, &mut chan_rng);
-        let report = self.receiver.receive(&iq);
         // Mobility: positions evolve between rounds (shadowing and the
         // frozen carrier phases follow automatically, both being
-        // position-keyed). Its own seed stream — not `fault_rng`, whose
-        // draw count depends on how many frames were delivered — so the
-        // coalesced runner can move tags right after waveform generation
-        // (see [`Engine::run_round_batch`]) and land on identical
-        // positions.
+        // position-keyed).
         if let Some(mobility) = self.scenario.mobility {
             let mut mobility_rng = round_seq.rng("mobility");
             for tag in &mut self.tags {
@@ -350,16 +372,15 @@ impl Engine {
                 tag.set_position(next);
             }
         }
-        self.settle_round(
+        PendingRound {
             round,
-            round_start,
+            start,
             active,
             payloads,
             signal_meta,
             iq,
-            report,
-            &mut fault_rng,
-        )
+            fault_rng,
+        }
     }
 
     /// Realizes one round's channel: every active tag's waveform with its
@@ -446,18 +467,16 @@ impl Engine {
     /// The post-reception half of a round: delivery and bit-error
     /// accounting, ACK statistics (with downlink loss draws from the
     /// round's fault stream), outcome assembly and observability.
-    #[allow(clippy::too_many_arguments)]
-    fn settle_round(
-        &mut self,
-        round: u64,
-        round_start: Instant,
-        active: Vec<usize>,
-        payloads: Vec<Vec<u8>>,
-        signal_meta: Vec<SignalMeta>,
-        iq: Vec<cbma_types::Iq>,
-        report: RxReport,
-        fault_rng: &mut rand::rngs::StdRng,
-    ) -> RoundOutcome {
+    fn settle_round(&mut self, pending: PendingRound, report: RxReport) -> RoundOutcome {
+        let PendingRound {
+            round,
+            start: round_start,
+            active,
+            payloads,
+            signal_meta,
+            iq,
+            mut fault_rng,
+        } = pending;
         // Deliveries: the right payload decoded under the right id.
         let mut delivered = Vec::new();
         for &(id, frame) in report.frames().iter() {
@@ -486,7 +505,7 @@ impl Engine {
         // Feed the tags' ACK statistics (only true deliveries ACK, and the
         // broadcast ACK itself can be lost on the downlink).
         for &i in &delivered {
-            if !self.scenario.faults.ack_lost(fault_rng) {
+            if !self.scenario.faults.ack_lost(&mut fault_rng) {
                 self.tags[i].record_ack();
             }
         }
@@ -529,115 +548,6 @@ impl Engine {
         stats
     }
 
-    /// Runs `n` all-tags rounds in coalesced batches of `width` (see
-    /// [`Engine::run_round_batch`]) and accumulates statistics. At paper
-    /// defaults the shared multi-window correlation pass makes this the
-    /// fastest way to run a long campaign.
-    pub fn run_rounds_coalesced(&mut self, n: usize, width: usize) -> RunStats {
-        let all: Vec<usize> = (0..self.tags.len()).collect();
-        let mut stats = RunStats::new(self.tags.len());
-        let mut done = 0;
-        while done < n {
-            let batch = width.max(1).min(n - done);
-            for outcome in self.run_round_batch(&all, batch) {
-                stats.record(&outcome);
-            }
-            done += batch;
-        }
-        stats
-    }
-
-    /// Runs `width` consecutive rounds whose captures are received in one
-    /// coalesced [`Receiver::receive_coalesced`] pass: every round's
-    /// waveforms are generated first (channel, fault and mobility draws
-    /// come from the same per-round seed streams as [`Engine::run_round`],
-    /// so the realized channels are identical), then all captures share
-    /// one multi-window correlation matrix pass, then each round settles
-    /// its deliveries and ACK statistics in order.
-    ///
-    /// Outcomes match `width` sequential [`Engine::run_round_subset`]
-    /// calls (active sets, channel realizations, deliveries and ACK
-    /// draws), except that detection correlations/gains differ within
-    /// FFT rounding between the coalesced and single-window paths.
-    ///
-    /// When a tracer is attached the batch records one `round_batch`
-    /// span (arg = first round index) with the receiver's
-    /// `coalesced_receive` tree nested under it, instead of per-round
-    /// `round` spans.
-    pub fn run_round_batch(&mut self, active: &[usize], width: usize) -> Vec<RoundOutcome> {
-        struct PendingRound {
-            round: u64,
-            start: Instant,
-            active: Vec<usize>,
-            payloads: Vec<Vec<u8>>,
-            signal_meta: Vec<SignalMeta>,
-            iq: Vec<cbma_types::Iq>,
-            fault_rng: rand::rngs::StdRng,
-        }
-        let first_round = self.round;
-        let _batch_span = self.tracer.clone().map(|tracer| {
-            let trace = tracer.new_trace();
-            let mut span = tracer.span(trace, None, "round_batch");
-            span.set_arg(first_round);
-            self.receiver.set_trace_parent(trace, span.id());
-            span
-        });
-        let mut pending = Vec::with_capacity(width.max(1));
-        for _ in 0..width.max(1) {
-            let start = Instant::now();
-            let round = self.round;
-            self.round += 1;
-            let round_seq = self.seq.child(&format!("round-{round}"));
-            let mut chan_rng = round_seq.rng("channel");
-            let fault_rng = round_seq.rng("faults");
-            // Injected tag deaths: dead tags silently drop out.
-            let active: Vec<usize> = active
-                .iter()
-                .copied()
-                .filter(|&i| !self.scenario.faults.is_dead(i, round))
-                .collect();
-            let (iq, signal_meta, payloads) = self.realize_round(&active, round, &mut chan_rng);
-            // Mobility steps immediately after this round's waveforms are
-            // realized — the same position trajectory as the sequential
-            // runner, because the mobility stream is independent of
-            // reception.
-            if let Some(mobility) = self.scenario.mobility {
-                let mut mobility_rng = round_seq.rng("mobility");
-                for tag in &mut self.tags {
-                    let next = mobility.step(&mut mobility_rng, tag.position());
-                    tag.set_position(next);
-                }
-            }
-            pending.push(PendingRound {
-                round,
-                start,
-                active,
-                payloads,
-                signal_meta,
-                iq,
-                fault_rng,
-            });
-        }
-        let captures: Vec<&[cbma_types::Iq]> = pending.iter().map(|p| p.iq.as_slice()).collect();
-        let reports = self.receiver.receive_coalesced(&captures);
-        pending
-            .into_iter()
-            .zip(reports)
-            .map(|(mut p, report)| {
-                self.settle_round(
-                    p.round,
-                    p.start,
-                    p.active,
-                    p.payloads,
-                    p.signal_meta,
-                    p.iq,
-                    report,
-                    &mut p.fault_rng,
-                )
-            })
-            .collect()
-    }
-
     /// Runs `n` all-tags rounds through the streaming receiver runtime
     /// ([`RxFlowgraph`]): rounds are realized in batches of `cfg.width`
     /// with the exact per-round seed streams of [`Engine::run_round`],
@@ -674,15 +584,6 @@ impl Engine {
         cfg: &StreamingConfig,
         mut on_outcome: impl FnMut(&RoundOutcome),
     ) -> RunStats {
-        struct PendingRound {
-            round: u64,
-            start: Instant,
-            active: Vec<usize>,
-            payloads: Vec<Vec<u8>>,
-            signal_meta: Vec<SignalMeta>,
-            iq: Vec<cbma_types::Iq>,
-            fault_rng: rand::rngs::StdRng,
-        }
         let all: Vec<usize> = (0..self.tags.len()).collect();
         let mut stats = RunStats::new(self.tags.len());
         // One flowgraph for the whole run: threads and rings are built per
@@ -723,40 +624,10 @@ impl Engine {
             let mut pending = Vec::with_capacity(width);
             let mut source = CaptureSource::new(cfg.block_size);
             for _ in 0..width {
-                let start = Instant::now();
-                let round = self.round;
-                self.round += 1;
-                let round_seq = self.seq.child(&format!("round-{round}"));
-                let mut chan_rng = round_seq.rng("channel");
-                let fault_rng = round_seq.rng("faults");
-                let active: Vec<usize> = all
-                    .iter()
-                    .copied()
-                    .filter(|&i| !self.scenario.faults.is_dead(i, round))
-                    .collect();
-                let (iq, signal_meta, payloads) =
-                    self.realize_round(&active, round, &mut chan_rng);
-                // Mobility steps right after realization, exactly as in
-                // the coalesced runner (the stream is reception-independent
-                // so positions match the sequential trajectory).
-                if let Some(mobility) = self.scenario.mobility {
-                    let mut mobility_rng = round_seq.rng("mobility");
-                    for tag in &mut self.tags {
-                        let next = mobility.step(&mut mobility_rng, tag.position());
-                        tag.set_position(next);
-                    }
-                }
+                let round = self.begin_round(&all);
                 let stream = if spread { pending.len() } else { 0 };
-                source.push(stream, iq.clone());
-                pending.push(PendingRound {
-                    round,
-                    start,
-                    active,
-                    payloads,
-                    signal_meta,
-                    iq,
-                    fault_rng,
-                });
+                source.push(stream, round.iq.clone());
+                pending.push(round);
             }
             let output = flow
                 .run(source)
@@ -768,20 +639,11 @@ impl Engine {
                 // matters — gauges keep the last value).
                 results.sort_by_key(|r| (r.stream, r.seq));
             }
-            for (mut p, result) in pending.into_iter().zip(results) {
+            for (round, result) in pending.into_iter().zip(results) {
                 // Mirror `Receiver::receive`'s metric recording so the
                 // streaming path feeds the same `cbma.rx.*` series.
                 self.receiver.record_report_metrics(&result.report);
-                let outcome = self.settle_round(
-                    p.round,
-                    p.start,
-                    p.active,
-                    p.payloads,
-                    p.signal_meta,
-                    p.iq,
-                    result.report,
-                    &mut p.fault_rng,
-                );
+                let outcome = self.settle_round(round, result.report);
                 stats.record(&outcome);
                 on_outcome(&outcome);
             }
@@ -906,21 +768,24 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_batches_match_sequential_rounds() {
-        // The coalesced runner reorders work (generate-all, receive-all,
-        // settle-all) but draws from the same per-round seed streams, so
-        // every decision must match the sequential runner: realized
-        // channels, delivered sets, ACK draws and tag statistics.
-        // Detection correlations differ within FFT rounding, so the
-        // comparison is decision-level, not RxReport float equality.
-        let mut scenario = Scenario::paper_default(near_positions(3)).with_seed(11);
+    fn streaming_matches_sequential_rounds() {
+        // The streaming runtime calls the same monolithic receiver seams
+        // block-by-block, and both loops realize rounds through
+        // `begin_round`, so its outcomes are *identical* to the sequential
+        // runner, round by round, for every scheduler, block size and
+        // batch width: realized channels, active and delivered sets, ACK
+        // ids, bit errors and the tags' ACK statistics and positions.
+        // Mobility, ACK loss and a tag dying mid-run make each of those
+        // round-dependent; widths that do not divide the run leave a
+        // short final batch.
+        let mut scenario = Scenario::paper_default(near_positions(3)).with_seed(23);
         scenario.mobility = Some(crate::faults::MobilityModel::new(
             0.05,
             cbma_types::geometry::Rect::office(),
         ));
         scenario.faults = crate::faults::FaultPlan::none()
-            .with_ack_loss(0.3)
-            .with_dead_tag(2, 4);
+            .with_ack_loss(0.25)
+            .with_dead_tag(1, 3);
         let fingerprint = |o: &RoundOutcome| {
             let channel: Vec<(u64, u64)> = o
                 .signal_meta
@@ -935,47 +800,6 @@ mod tests {
                 channel,
             )
         };
-
-        let mut seq = Engine::new(scenario.clone()).unwrap();
-        let sequential: Vec<_> = (0..6).map(|_| fingerprint(&seq.run_round())).collect();
-
-        let mut coal = Engine::new(scenario).unwrap();
-        let all: Vec<usize> = (0..coal.tags().len()).collect();
-        let mut coalesced = Vec::new();
-        for width in [4usize, 2] {
-            coalesced.extend(coal.run_round_batch(&all, width).iter().map(&fingerprint));
-        }
-
-        assert_eq!(sequential, coalesced);
-        let stats = |e: &Engine| {
-            e.tags()
-                .iter()
-                .map(|t| (t.packets_sent(), t.acks_received()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(stats(&seq), stats(&coal));
-        let pos = |e: &Engine| e.tags().iter().map(|t| t.position()).collect::<Vec<_>>();
-        assert_eq!(pos(&seq), pos(&coal));
-    }
-
-    #[test]
-    fn streaming_matches_sequential_rounds() {
-        // The streaming runtime calls the same monolithic receiver seams
-        // block-by-block, so — unlike the coalesced path, which differs
-        // within FFT rounding — its outcomes are *identical* to the
-        // sequential runner, for every scheduler, block size and batch
-        // width.
-        let mut scenario = Scenario::paper_default(near_positions(3)).with_seed(23);
-        scenario.mobility = Some(crate::faults::MobilityModel::new(
-            0.05,
-            cbma_types::geometry::Rect::office(),
-        ));
-        scenario.faults = crate::faults::FaultPlan::none()
-            .with_ack_loss(0.25)
-            .with_dead_tag(1, 3);
-
-        let mut seq = Engine::new(scenario.clone()).unwrap();
-        let sequential = seq.run_rounds(5);
         let stats = |e: &Engine| {
             e.tags()
                 .iter()
@@ -983,9 +807,30 @@ mod tests {
                 .collect::<Vec<_>>()
         };
 
+        let rounds = 6;
+        let mut seq = Engine::new(scenario.clone()).unwrap();
+        let mut sequential_stats = RunStats::new(seq.tags().len());
+        let sequential: Vec<_> = (0..rounds)
+            .map(|_| {
+                let outcome = seq.run_round();
+                sequential_stats.record(&outcome);
+                fingerprint(&outcome)
+            })
+            .collect();
+
         for (scheduler, block_size, width) in [
             (Scheduler::Inline, 257, 2),
             (Scheduler::ThreadPerStage, 1024, 5),
+            // Spreads each batch over per-round streams and re-sorts the
+            // results into round order.
+            (
+                Scheduler::WorkStealing {
+                    workers: 2,
+                    pin: false,
+                },
+                701,
+                4,
+            ),
         ] {
             let mut streaming = Engine::new(scenario.clone()).unwrap();
             let cfg = StreamingConfig {
@@ -994,8 +839,11 @@ mod tests {
                 ring_capacity: 2,
                 scheduler,
             };
-            let run = streaming.run_streaming(5, &cfg);
-            assert_eq!(run, sequential, "{scheduler:?} block={block_size}");
+            let mut per_round = Vec::new();
+            let run =
+                streaming.run_streaming_with(rounds, &cfg, |o| per_round.push(fingerprint(o)));
+            assert_eq!(per_round, sequential, "{scheduler:?} block={block_size}");
+            assert_eq!(run, sequential_stats, "{scheduler:?} block={block_size}");
             assert_eq!(stats(&streaming), stats(&seq), "{scheduler:?}");
         }
     }

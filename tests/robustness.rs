@@ -65,6 +65,39 @@ fn impulsive_garbage_is_survivable() {
 }
 
 #[test]
+fn non_finite_samples_never_surface_as_correlations() {
+    // One Inf or NaN sample turns every correlation lag that covers it
+    // non-finite. Detection must reject those lags on every path (peak
+    // picking and the probe fallback), so a reported user always carries
+    // a finite correlation.
+    let phy = PhyProfile::paper_default();
+    let codes = TwoNcFamily::new(4).unwrap().codes(4).unwrap();
+    let mut tag = cbma::tag::Tag::new(1, Point::ORIGIN, codes[1].clone());
+    let env = tag.transmit(b"non-finite".to_vec(), &phy).unwrap();
+    let mut frame = vec![Iq::ZERO; 400];
+    frame.extend(env.iter().map(|&e| Iq::new(0.01 * e, 0.0)));
+    frame.extend(vec![Iq::ZERO; 64]);
+
+    for kind in [DecoderKind::Coherent, DecoderKind::Envelope] {
+        let mut rx = receiver(kind, 1);
+        for bad in [Iq::new(f64::INFINITY, 0.0), Iq::new(f64::NAN, f64::NAN)] {
+            for at in [40, 200, env.len() / 2] {
+                let mut buf = frame.clone();
+                buf[400 + at] = bad;
+                let report = rx.receive(&buf);
+                for user in &report.users {
+                    assert!(
+                        user.detection.correlation.is_finite(),
+                        "{kind:?} {bad:?} at {at}: {:?}",
+                        user.detection
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn truncated_frames_report_truncation_not_garbage() {
     let phy = PhyProfile::paper_default();
     let codes = TwoNcFamily::new(4).unwrap().codes(4).unwrap();
